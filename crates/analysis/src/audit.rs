@@ -20,13 +20,21 @@
 //! as exact — float associativity genuinely fails bit-for-bit, which is a
 //! property of IEEE arithmetic, not a mis-declaration.
 //!
+//! Every law verdict goes through [`law_counterexample`]. Verdicts about
+//! built-in operators (those carrying a [`BuiltinId`]) are memoized once
+//! per process, so repeated lint requests stop re-sampling `add`.
+//!
 //! Verification is over a *bounded* audit domain (small magnitudes; no
 //! wrap-around). A law that holds on the audit domain may still fail at
 //! the edges of machine arithmetic — under-claims are therefore
 //! *candidates* for declaration, while over-claims (a concrete refuting
 //! witness in hand) are definite bugs.
 
-use collopt_core::op::{lib, BinOp, Counterexample, RequiredLaw, FLOAT_RTOL};
+use std::collections::HashMap;
+use std::mem::{discriminant, Discriminant};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+use collopt_core::op::{lib, BinOp, BuiltinId, Counterexample, RequiredLaw, FLOAT_RTOL};
 use collopt_core::value::Value;
 use collopt_machine::Rng;
 
@@ -200,21 +208,102 @@ impl OpAudit {
     }
 }
 
+/// Most verdicts the law memo holds; reaching it clears the memo, so a
+/// process sweeping many audit configs stays bounded.
+pub const LAW_MEMO_CAP: usize = 4096;
+
+/// A law verdict's memo key: the law kind, the built-in ids of its
+/// operators, the domain, and every [`AuditConfig`] field.
+#[derive(PartialEq, Eq, Hash)]
+struct LawKey {
+    kind: Discriminant<RequiredLaw>,
+    ops: (BuiltinId, Option<BuiltinId>),
+    domain: Domain,
+    seed: u64,
+    random_trials: usize,
+    tolerance_bits: u64,
+}
+
+type LawMemo = Mutex<HashMap<LawKey, Option<Counterexample>>>;
+
+fn law_memo() -> &'static LawMemo {
+    static MEMO: OnceLock<LawMemo> = OnceLock::new();
+    MEMO.get_or_init(LawMemo::default)
+}
+
+/// The memo stays consistent under a panic elsewhere: every entry is
+/// written whole, so a poisoned lock is safe to keep using.
+fn lock_memo() -> MutexGuard<'static, HashMap<LawKey, Option<Counterexample>>> {
+    law_memo().lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The key for `law`, or `None` when any of its operators is not a
+/// built-in: a user operator may reuse a built-in's name with a
+/// different function, so only the [`BuiltinId`] proves what it computes.
+fn law_key(law: &RequiredLaw, domain: Domain, cfg: &AuditConfig) -> Option<LawKey> {
+    let ops = match law {
+        RequiredLaw::Associative(op) | RequiredLaw::Commutative(op) => (op.builtin_id()?, None),
+        RequiredLaw::DistributesOver(ot, op) => (ot.builtin_id()?, Some(op.builtin_id()?)),
+    };
+    Some(LawKey {
+        kind: discriminant(law),
+        ops,
+        domain,
+        seed: cfg.seed,
+        random_trials: cfg.random_trials,
+        tolerance_bits: cfg.tolerance.to_bits(),
+    })
+}
+
+/// Search `law` for a shrunk counterexample over `domain`'s sample pool,
+/// exactly on exact domains and up to `cfg.tolerance` on float ones.
+/// Verdicts about built-in operators are memoized process-wide; any
+/// other operator is searched afresh on every call.
+pub fn law_counterexample(
+    law: &RequiredLaw,
+    domain: Domain,
+    cfg: &AuditConfig,
+) -> Option<Counterexample> {
+    let search = || {
+        let rtol = match exactness_of(domain) {
+            Exactness::Approximate => cfg.tolerance,
+            Exactness::Exact => 0.0,
+        };
+        law.counterexample_with(&samples_for_domain(domain, cfg), rtol)
+    };
+    let Some(key) = law_key(law, domain, cfg) else {
+        return search();
+    };
+    if let Some(verdict) = lock_memo().get(&key) {
+        return verdict.clone();
+    }
+    // Search without the lock: a racing thread may compute the same
+    // verdict, which is pure, so either insert is correct.
+    let verdict = search();
+    let mut memo = lock_memo();
+    if memo.len() >= LAW_MEMO_CAP {
+        memo.clear();
+    }
+    memo.insert(key, verdict.clone());
+    verdict
+}
+
+/// Number of verdicts the law memo currently holds (at most
+/// [`LAW_MEMO_CAP`]).
+pub fn law_memo_len() -> usize {
+    lock_memo().len()
+}
+
 /// Audit one operator against its declarations. `peers` is the set of
 /// same-domain operators distributivity is probed against (for
 /// under-claim detection); pass `&[]` to check only the declared laws.
 pub fn audit_operator(op: &BinOp, domain: Domain, peers: &[BinOp], cfg: &AuditConfig) -> OpAudit {
-    let samples = samples_for_domain(domain, cfg);
-    let rtol = match exactness_of(domain) {
-        Exactness::Approximate => cfg.tolerance,
-        Exactness::Exact => 0.0,
-    };
     let mut verified = Vec::new();
     let mut over_claims = Vec::new();
     let mut under_claims = Vec::new();
 
     let mut check = |law: RequiredLaw, declared: bool, declaration: &str| {
-        let cex = law.counterexample_with(&samples, rtol);
+        let cex = law_counterexample(&law, domain, cfg);
         match (declared, cex) {
             (true, None) => verified.push(law.describe()),
             (true, Some(counterexample)) => over_claims.push(OverClaim {

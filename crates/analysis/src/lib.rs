@@ -41,8 +41,9 @@ pub mod lint;
 pub mod schedule;
 
 pub use audit::{
-    audit_builtin_table, audit_operator, builtin_table, domain_of_builtin, samples_for_domain,
-    AuditConfig, Domain, Exactness, OpAudit, OverClaim, UnderClaim,
+    audit_builtin_table, audit_operator, builtin_table, domain_of_builtin, law_counterexample,
+    law_memo_len, samples_for_domain, AuditConfig, Domain, Exactness, OpAudit, OverClaim,
+    UnderClaim, LAW_MEMO_CAP,
 };
 pub use certify::{required_kinds, validate_result, validate_step, CertificateIssue};
 pub use distflow::{dist_trace, distflow_pass};

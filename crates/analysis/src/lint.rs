@@ -36,7 +36,7 @@ use collopt_core::term::{Program, Stage};
 use collopt_cost::MachineParams;
 use collopt_machine::Json;
 
-use crate::audit::{audit_operator, domain_of_builtin, AuditConfig, Domain, Exactness};
+use crate::audit::{audit_operator, domain_of_builtin, law_counterexample, AuditConfig, Domain};
 
 /// Diagnostic severity, ordered most severe first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -62,7 +62,7 @@ impl std::fmt::Display for Severity {
 /// One structured finding.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Stable code, `COL001`..`COL006`.
+    /// Stable code, `COL001`..`COL012`.
     pub code: &'static str,
     /// Severity class.
     pub severity: Severity,
@@ -180,8 +180,14 @@ impl LintReport {
     }
 
     /// Render the report as compact JSON (hand-rolled, byte-stable for a
-    /// fixed input and config).
+    /// fixed input and config): [`to_json`](Self::to_json), rendered.
     pub fn render_json(&self) -> String {
+        self.to_json().render()
+    }
+
+    /// The report as a [`Json`] document, for embedding in a larger one
+    /// without a render-and-parse round trip.
+    pub fn to_json(&self) -> Json {
         let span_json = |span: Option<Span>| match span {
             Some(s) => Json::Obj(vec![
                 ("start".into(), Json::Num(s.start as f64)),
@@ -228,7 +234,6 @@ impl LintReport {
                 ]),
             ),
         ])
-        .render()
     }
 }
 
@@ -310,14 +315,9 @@ fn window_laws_hold(
         }
     }
     let domain = domain?;
-    let samples = crate::audit::samples_for_domain(domain, &cfg.audit);
-    let rtol = match crate::audit::exactness_of(domain) {
-        Exactness::Approximate => cfg.audit.tolerance,
-        Exactness::Exact => 0.0,
-    };
     Some(
         laws.iter()
-            .all(|l| l.counterexample_with(&samples, rtol).is_none()),
+            .all(|l| law_counterexample(l, domain, &cfg.audit).is_none()),
     )
 }
 

@@ -18,6 +18,18 @@ use crate::value::Value;
 /// A binary function over [`Value`]s.
 pub type ValueFn2 = Arc<dyn Fn(&Value, &Value) -> Value + Send + Sync>;
 
+/// Which [`lib`] constructor (and parameter) built an operator. Only the
+/// `lib` constructors can create one, so an operator carrying it is known
+/// to compute exactly that built-in function under that name. The name
+/// alone proves nothing: `BinOp::new("add", |a, b| a - b)` is a legal
+/// operator, and it carries no id. The builder methods keep the id
+/// because they change declarations only, never the function or name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BuiltinId {
+    ctor: &'static str,
+    param: i64,
+}
+
 /// A binary base operator with declared algebraic properties and a
 /// declared cost (base operations per block word per application).
 #[derive(Clone)]
@@ -29,6 +41,7 @@ pub struct BinOp {
     distributes_over: Vec<String>,
     ops_per_word: f64,
     width: f64,
+    builtin: Option<BuiltinId>,
 }
 
 impl BinOp {
@@ -47,7 +60,20 @@ impl BinOp {
             distributes_over: Vec::new(),
             ops_per_word: 1.0,
             width: 1.0,
+            builtin: None,
         }
+    }
+
+    /// Mark the operator as built by the [`lib`] constructor `ctor`.
+    fn builtin(mut self, ctor: &'static str, param: i64) -> Self {
+        self.builtin = Some(BuiltinId { ctor, param });
+        self
+    }
+
+    /// The built-in identity, for operators made by a [`lib`]
+    /// constructor; `None` for every other operator.
+    pub fn builtin_id(&self) -> Option<BuiltinId> {
+        self.builtin
     }
 
     /// Declare the operator commutative.
@@ -490,6 +516,7 @@ pub mod lib {
             Value::Int(a.as_int().wrapping_add(b.as_int()))
         })
         .commutative()
+        .builtin("add", 0)
     }
 
     /// Integer multiplication — associative, commutative, distributes
@@ -500,6 +527,7 @@ pub mod lib {
         })
         .commutative()
         .distributes_over_op("add")
+        .builtin("mul", 0)
     }
 
     /// Integer maximum — associative, commutative, idempotent. In the
@@ -512,6 +540,7 @@ pub mod lib {
         BinOp::new("max", |a, b| Value::Int(a.as_int().max(b.as_int())))
             .commutative()
             .distributes_over_op("min")
+            .builtin("max", 0)
     }
 
     /// Integer minimum — the lattice dual of [`max`]; distributes over it
@@ -520,6 +549,7 @@ pub mod lib {
         BinOp::new("min", |a, b| Value::Int(a.as_int().min(b.as_int())))
             .commutative()
             .distributes_over_op("max")
+            .builtin("min", 0)
     }
 
     /// Tropical addition: `add` distributing over `max` — the max-plus
@@ -532,6 +562,7 @@ pub mod lib {
         .commutative()
         .distributes_over_op("max")
         .distributes_over_op("min")
+        .builtin("add_tropical", 0)
     }
 
     /// Boolean AND — distributes over OR.
@@ -539,6 +570,7 @@ pub mod lib {
         BinOp::new("and", |a, b| Value::Bool(a.as_bool() && b.as_bool()))
             .commutative()
             .distributes_over_op("or")
+            .builtin("and", 0)
     }
 
     /// Boolean OR — distributes over AND.
@@ -546,11 +578,14 @@ pub mod lib {
         BinOp::new("or", |a, b| Value::Bool(a.as_bool() || b.as_bool()))
             .commutative()
             .distributes_over_op("and")
+            .builtin("or", 0)
     }
 
     /// Float addition (commutative; associativity up to rounding).
     pub fn fadd() -> BinOp {
-        BinOp::new("fadd", |a, b| Value::Float(a.as_float() + b.as_float())).commutative()
+        BinOp::new("fadd", |a, b| Value::Float(a.as_float() + b.as_float()))
+            .commutative()
+            .builtin("fadd", 0)
     }
 
     /// Float multiplication — distributes over float addition.
@@ -558,6 +593,7 @@ pub mod lib {
         BinOp::new("fmul", |a, b| Value::Float(a.as_float() * b.as_float()))
             .commutative()
             .distributes_over_op("fadd")
+            .builtin("fmul", 0)
     }
 
     /// Modular addition (wrap at `modulus`) — commutative.
@@ -567,6 +603,7 @@ pub mod lib {
             Value::Int((a.as_int() + b.as_int()).rem_euclid(modulus))
         })
         .commutative()
+        .builtin("add_mod", modulus)
     }
 
     /// MPI_MAXLOC: on pairs `(value, index)`, the larger value wins; ties
@@ -585,6 +622,7 @@ pub mod lib {
         .commutative()
         .with_cost(2.0)
         .with_width(2.0)
+        .builtin("maxloc", 0)
     }
 
     /// MPI_MINLOC: the smaller value wins; ties go to the smaller index.
@@ -601,6 +639,7 @@ pub mod lib {
         .commutative()
         .with_cost(2.0)
         .with_width(2.0)
+        .builtin("minloc", 0)
     }
 
     /// Greatest common divisor — associative, commutative, idempotent-ish
@@ -616,7 +655,9 @@ pub mod lib {
             }
             a
         }
-        BinOp::new("gcd", |a, b| Value::Int(g(a.as_int(), b.as_int()))).commutative()
+        BinOp::new("gcd", |a, b| Value::Int(g(a.as_int(), b.as_int())))
+            .commutative()
+            .builtin("gcd", 0)
     }
 
     /// String-free non-commutative associative operator: 2×2 integer
@@ -644,6 +685,7 @@ pub mod lib {
             ])
         })
         .with_cost(8.0)
+        .builtin("mat2mul", 0)
     }
 }
 
@@ -842,6 +884,18 @@ mod tests {
             &Value::Float(1.0 + 0.5 * FLOAT_RTOL),
             FLOAT_RTOL
         ));
+    }
+
+    #[test]
+    fn only_lib_constructors_carry_a_builtin_id() {
+        let forged = BinOp::new("add", |a, b| Value::Int(a.as_int() - b.as_int())).commutative();
+        assert_eq!(forged.builtin_id(), None);
+        assert!(add().builtin_id().is_some());
+        // Same name and function, different constructor: distinct ids.
+        assert_ne!(add().builtin_id(), add_tropical().builtin_id());
+        assert_ne!(add_mod(7).builtin_id(), add_mod(97).builtin_id());
+        // Declaration builders keep the id; they never touch the function.
+        assert_eq!(add().with_cost(3.0).builtin_id(), add().builtin_id());
     }
 
     #[test]

@@ -91,6 +91,9 @@ pub enum ErrorCode {
     BadRequest,
     /// The pipeline spec does not parse.
     ParseError,
+    /// Handling the request panicked; the server caught it and kept
+    /// serving.
+    InternalError,
 }
 
 impl ErrorCode {
@@ -100,6 +103,7 @@ impl ErrorCode {
             ErrorCode::BadJson => "bad_json",
             ErrorCode::BadRequest => "bad_request",
             ErrorCode::ParseError => "parse_error",
+            ErrorCode::InternalError => "internal_error",
         }
     }
 }

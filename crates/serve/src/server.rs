@@ -21,6 +21,10 @@
 //! by the dispatcher alone, so each connection sees its responses in
 //! the order it sent requests (the queue is FIFO per sender).
 //!
+//! Each `handle_line` call runs under `catch_unwind`: a request that
+//! panics is answered `internal_error` with its id, and the dispatcher
+//! goes on serving every connection.
+//!
 //! Batches of size one — the common case under low concurrency — run
 //! inline on the long-lived dispatcher thread, where the machine
 //! crate's thread-local per-`p` engine cache persists across requests:
@@ -38,13 +42,16 @@
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 use collopt_bench::sweep_driver::{default_workers, par_map_with};
+use collopt_machine::Json;
 
+use crate::request::{error_response, parse_request, ErrorCode, RequestError};
 use crate::service::{Reply, Service};
 
 /// Tunables for [`Server`].
@@ -183,7 +190,7 @@ fn dispatch_loop(
         }
         let lines: Vec<String> = batch.iter().map(|j| j.line.clone()).collect();
         let replies: Vec<Reply> =
-            par_map_with(lines, config.workers, |line| service.handle_line(&line));
+            par_map_with(lines, config.workers, |line| handle_caught(&service, &line));
         let mut shutdown = false;
         for (job, reply) in batch.iter().zip(&replies) {
             shutdown |= reply.shutdown;
@@ -201,6 +208,28 @@ fn dispatch_loop(
             let _ = TcpStream::connect(addr);
         }
     }
+}
+
+/// [`Service::handle_line`], with a panic turned into an
+/// `internal_error` reply that echoes the request's id. The service holds
+/// no lock while it computes, so it stays usable after the unwind.
+fn handle_caught(service: &Service, line: &str) -> Reply {
+    catch_unwind(AssertUnwindSafe(|| service.handle_line(line))).unwrap_or_else(|payload| {
+        let detail = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        let err = RequestError {
+            id: parse_request(line).map_or(Json::Null, |r| r.id),
+            code: ErrorCode::InternalError,
+            message: format!("request handler panicked: {detail}"),
+        };
+        Reply {
+            text: error_response(&err),
+            shutdown: false,
+        }
+    })
 }
 
 /// One-shot client: connect, send one request line, read one response

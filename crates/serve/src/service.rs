@@ -126,8 +126,11 @@ impl Service {
         self.requests.load(Ordering::Relaxed)
     }
 
-    /// Handle one request line and render the response. Never panics on
-    /// malformed input — bad lines become error responses.
+    /// Handle one request line and render the response. Lines that are
+    /// not valid requests, and pipelines that do not parse, become error
+    /// responses. A well-formed request can still panic on the cold path
+    /// (e.g. an ill-typed pipeline under `simulate`); the server catches
+    /// that per request and answers `internal_error`.
     pub fn handle_line(&self, line: &str) -> Reply {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let req = match parse_request(line) {
@@ -214,8 +217,7 @@ fn render_body(canonical: &Program, req: &OptimizeRequest) -> String {
             block: req.m,
             ..LintConfig::default()
         };
-        let report = lint_program(canonical, None, &cfg);
-        Json::parse(&report.render_json()).expect("lint JSON round-trips")
+        lint_program(canonical, None, &cfg).to_json()
     } else {
         Json::Null
     };

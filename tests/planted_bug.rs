@@ -251,3 +251,35 @@ fn honest_pipeline_passes_every_layer() {
     let report = lint_program(&prog, None, &LintConfig::default());
     assert_eq!(report.errors(), 0, "{:#?}", report.diagnostics);
 }
+
+#[test]
+fn every_drill_holds_with_a_warm_law_memo() {
+    // The law-verdict memo is process-wide. Fill it with the verdicts of
+    // every operator the parser names, then re-run each drill: the
+    // planted operators carry no built-in id, so no memoized verdict may
+    // reach them.
+    use collopt::analysis::{law_memo_len, lint_source};
+    for src in [
+        "scan(add) ; reduce(add)",
+        "scan(mul) ; reduce(add) ; allreduce(max)",
+        "scan(max) ; reduce(min)",
+        "scan(maxplus) ; allreduce(max) ; reduce(min)",
+        "scan(and) ; reduce(or)",
+        "scan(fmul) ; reduce(fadd)",
+    ] {
+        lint_source(src, &LintConfig::default()).expect("warm-up pipeline parses");
+    }
+    assert!(law_memo_len() > 0);
+
+    trusting_engine_fuses_the_planted_bug();
+    audited_rewriter_refuses_with_shrunk_counterexample();
+    certificate_validator_refutes_the_trusting_engines_certificate();
+    linter_reports_the_mis_declaration_as_col002();
+    auditor_witnesses_are_deterministic_across_runs();
+    trusting_engine_misses_the_underclaimed_fusion();
+    auditor_reports_the_withheld_law_as_under_claim();
+    linter_reports_the_withheld_law_as_col005_not_col002();
+    declaring_the_withheld_law_unlocks_a_fusion_every_layer_approves();
+    fuzz_defense_oracle_is_unanimous_in_both_directions();
+    honest_pipeline_passes_every_layer();
+}

@@ -202,3 +202,43 @@ fn control_ops_report_cache_and_liveness() {
     assert_eq!(cache.get("misses").and_then(|x| x.as_f64()), Some(1.0));
     shutdown(addr, handle);
 }
+
+#[test]
+fn a_panicking_request_gets_internal_error_and_the_server_keeps_serving() {
+    // Well-formed but ill-typed under simulation: `reduce(max)` receives
+    // the gathered list of blocks and panics inside the evaluator.
+    let panicking =
+        r#"{"pipeline":"gather ; reduce(max)","p":2,"m":8,"options":{"simulate":true}}"#;
+    let (addr, handle) = spawn_server();
+    let mut client = Client::connect(addr);
+
+    let reply = client.round_trip(panicking);
+    let doc = Json::parse(&reply).expect("error reply is JSON");
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(false)), "{reply}");
+    assert_eq!(doc.get("id"), Some(&Json::Null), "{reply}");
+    let code = doc.get("error").and_then(|e| e.get("code"));
+    assert_eq!(code.and_then(|c| c.as_str()), Some("internal_error"));
+
+    // The reply echoes the request's id.
+    let with_id = panicking.replacen('{', r#"{"id":"boom","#, 1);
+    let reply = client.round_trip(&with_id);
+    assert!(
+        reply.starts_with(r#"{"id":"boom","ok":false,"error":{"code":"internal_error""#),
+        "{reply}"
+    );
+
+    // Liveness: the same connection and a new one are both answered.
+    let pong = client.round_trip(r#"{"id":1,"op":"ping"}"#);
+    assert_eq!(pong, r#"{"id":1,"ok":true,"result":{"pong":true}}"#);
+    let pong = submit(addr, r#"{"id":2,"op":"ping"}"#).expect("ping on a new connection");
+    assert_eq!(pong, r#"{"id":2,"ok":true,"result":{"pong":true}}"#);
+
+    // A later simulation on the same dispatcher is unaffected.
+    let good =
+        r#"{"id":3,"pipeline":"scan(add) ; reduce(add)","p":2,"m":8,"options":{"simulate":true}}"#;
+    assert_eq!(
+        client.round_trip(good),
+        Service::new(4).handle_line(good).text
+    );
+    shutdown(addr, handle);
+}
