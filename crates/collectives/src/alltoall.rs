@@ -16,16 +16,25 @@
 //!   non-commutative operators on other sizes, so the simple composition
 //!   is the default.
 
-use collopt_machine::Ctx;
+use collopt_machine::{drive, Ctx};
 
-use crate::gather::scatter_binomial;
+use crate::gather::scatter_binomial_async;
 use crate::op::Combine;
-use crate::reduce::reduce_binomial;
+use crate::reduce::reduce_binomial_async;
 
 /// All-to-all: `blocks[d]` is this rank's block destined for rank `d`;
 /// returns the received blocks indexed by source rank. `words` is the
 /// size of one block.
 pub fn alltoall<T: Clone + Send + 'static>(ctx: &mut Ctx, blocks: Vec<T>, words: u64) -> Vec<T> {
+    drive(alltoall_async(ctx, blocks, words))
+}
+
+/// Engine-agnostic form of [`alltoall`].
+pub async fn alltoall_async<T: Clone + Send + 'static>(
+    ctx: &mut Ctx,
+    blocks: Vec<T>,
+    words: u64,
+) -> Vec<T> {
     let p = ctx.size();
     assert_eq!(blocks.len(), p, "need exactly one block per destination");
     let rank = ctx.rank();
@@ -37,11 +46,11 @@ pub fn alltoall<T: Clone + Send + 'static>(ctx: &mut Ctx, blocks: Vec<T>, words:
         let payload = blocks[dst].clone();
         if dst == src {
             // p = 2k and round = k: a true pairwise exchange.
-            let got: T = ctx.exchange(dst, payload, words);
+            let got: T = ctx.exchange_async(dst, payload, words).await;
             out[src] = Some(got);
         } else {
             ctx.send(dst, payload, words);
-            let got: T = ctx.recv(src);
+            let got: T = ctx.recv_async(src).await;
             out[src] = Some(got);
         }
     }
@@ -59,20 +68,27 @@ pub fn reduce_scatter<T: Clone + Send + 'static>(
     words: u64,
     op: &Combine<'_, T>,
 ) -> T {
+    drive(reduce_scatter_async(ctx, blocks, words, op))
+}
+
+/// Engine-agnostic form of [`reduce_scatter`].
+pub async fn reduce_scatter_async<T: Clone + Send + 'static>(
+    ctx: &mut Ctx,
+    blocks: Vec<T>,
+    words: u64,
+    op: &Combine<'_, T>,
+) -> T {
     let p = ctx.size();
     assert_eq!(blocks.len(), p, "need exactly one block per destination");
     // Reduce the whole vector elementwise to rank 0 …
     let total_words = words * p as u64;
-    let vec_op = {
-        let f = move |a: &Vec<T>, b: &Vec<T>| -> Vec<T> {
-            a.iter().zip(b).map(|(x, y)| op.apply(x, y)).collect()
-        };
-        f
+    let vec_op = |a: &Vec<T>, b: &Vec<T>| -> Vec<T> {
+        a.iter().zip(b).map(|(x, y)| op.apply(x, y)).collect()
     };
     let combine = Combine::with_cost(&vec_op, op.ops_per_word);
-    let reduced = reduce_binomial(ctx, 0, blocks, total_words, &combine);
+    let reduced = reduce_binomial_async(ctx, 0, blocks, total_words, &combine).await;
     // … then scatter one block to each rank.
-    scatter_binomial(ctx, reduced, words)
+    scatter_binomial_async(ctx, reduced, words).await
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ pub mod scan;
 pub mod schedule;
 pub mod variants;
 
-pub use alltoall::{alltoall, reduce_scatter};
+pub use alltoall::{alltoall, alltoall_async, reduce_scatter, reduce_scatter_async};
 pub use balanced::{
     allreduce_balanced, allreduce_balanced_async, reduce_balanced, reduce_balanced_async,
     scan_balanced, scan_balanced_async, BalancedOp, PairedOp,
@@ -78,7 +78,7 @@ pub use gather::{
 pub use hierarchical::{
     allreduce_hierarchical, allreduce_two_level, bcast_hierarchical, bcast_two_level,
 };
-pub use op::{Combine, Splittable};
+pub use op::{Combine, Splittable, Units};
 pub use pipelined::{bcast_pipelined, bcast_pipelined_async, chain_cost, optimal_segments};
 pub use reduce::{
     allreduce, allreduce_async, allreduce_butterfly, allreduce_butterfly_async,

@@ -61,35 +61,35 @@ pub fn chain_cost(p: usize, words: u64, segments: u64, ts: f64, tw: f64) -> f64 
     }
 }
 
-/// Chain-pipelined broadcast of a block of elements. The block is split
-/// into `segments` nearly equal chunks; rank `r` receives each chunk from
+/// Chain-pipelined broadcast of a block. The block is split into
+/// `segments` nearly equal chunks; rank `r` receives each chunk from
 /// `r − 1` and immediately forwards it to `r + 1` (the root is rank 0 in
-/// the chain ordering `(rank − root) mod p`). `words_per_elem` sizes the
+/// the chain ordering `(rank − root) mod p`). `words_per_unit` sizes the
 /// cost charge.
-pub fn bcast_pipelined<T: Clone + Send + 'static>(
+pub fn bcast_pipelined<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     root: usize,
-    value: Option<Vec<T>>,
-    words_per_elem: u64,
+    value: Option<S>,
+    words_per_unit: u64,
     segments: u64,
-) -> Vec<T> {
+) -> S {
     drive(bcast_pipelined_async(
         ctx,
         root,
         value,
-        words_per_elem,
+        words_per_unit,
         segments,
     ))
 }
 
 /// Engine-agnostic form of [`bcast_pipelined`].
-pub async fn bcast_pipelined_async<T: Clone + Send + 'static>(
+pub async fn bcast_pipelined_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
     root: usize,
-    value: Option<Vec<T>>,
-    words_per_elem: u64,
+    value: Option<S>,
+    words_per_unit: u64,
     segments: u64,
-) -> Vec<T> {
+) -> S {
     let p = ctx.size();
     let v = (ctx.rank() + p - root) % p; // position in the chain
     let segments = segments.max(1) as usize;
@@ -103,9 +103,8 @@ pub async fn bcast_pipelined_async<T: Clone + Send + 'static>(
         // Exactly `segments` chunks (possibly empty ones when the block
         // is shorter than the segment count), so sender and receivers
         // always agree on the message count.
-        let chunks = data.split_into(segments);
-        for chunk in chunks {
-            let words = chunk.len() as u64 * words_per_elem;
+        for chunk in data.split_into(segments) {
+            let words = chunk.unit_len() as u64 * words_per_unit;
             ctx.send(next, chunk, words);
         }
         data
@@ -114,16 +113,16 @@ pub async fn bcast_pipelined_async<T: Clone + Send + 'static>(
         let prev = (ctx.rank() + p - 1) % p;
         let forward = v + 1 < p;
         let next = (ctx.rank() + 1) % p;
-        let mut data = Vec::new();
+        let mut chunks = Vec::with_capacity(segments);
         for _ in 0..segments {
-            let chunk: Vec<T> = ctx.recv_async(prev).await;
+            let chunk: S = ctx.recv_async(prev).await;
             if forward {
-                let words = chunk.len() as u64 * words_per_elem;
+                let words = chunk.unit_len() as u64 * words_per_unit;
                 ctx.send(next, chunk.clone(), words);
             }
-            data.extend(chunk);
+            chunks.push(chunk);
         }
-        data
+        S::concat(chunks)
     }
 }
 

@@ -88,34 +88,32 @@ pub async fn allgather_ring_async<T: Clone + Send + 'static>(
 }
 
 /// Van de Geijn broadcast: scatter the root's block into `p` pieces, then
-/// ring-allgather the pieces. The block is a `Vec<T>`; `words_per_elem`
-/// sizes the cost charges. Efficient for large blocks; for tiny ones the
-/// extra start-ups lose to the binomial tree (see [`bcast_auto`]).
-pub fn bcast_scatter_allgather<T: Clone + Send + 'static>(
+/// ring-allgather the pieces. `words_per_unit` sizes the cost charges.
+/// Efficient for large blocks; for tiny ones the extra start-ups lose to
+/// the binomial tree (see [`bcast_auto`]).
+pub fn bcast_scatter_allgather<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
-    value: Option<Vec<T>>,
-    words_per_elem: u64,
-) -> Vec<T> {
-    drive(bcast_scatter_allgather_async(ctx, value, words_per_elem))
+    value: Option<S>,
+    words_per_unit: u64,
+) -> S {
+    drive(bcast_scatter_allgather_async(ctx, value, words_per_unit))
 }
 
 /// Engine-agnostic form of [`bcast_scatter_allgather`].
-pub async fn bcast_scatter_allgather_async<T: Clone + Send + 'static>(
+pub async fn bcast_scatter_allgather_async<S: Splittable + Clone + Send + 'static>(
     ctx: &mut Ctx,
-    value: Option<Vec<T>>,
-    words_per_elem: u64,
-) -> Vec<T> {
+    value: Option<S>,
+    words_per_unit: u64,
+) -> S {
     let p = ctx.size();
     if p == 1 {
         return value.expect("root must supply the block");
     }
     // Split the root's block into p nearly-equal pieces.
-    let pieces: Option<Vec<Vec<T>>> = value.map(|data| data.split_into(p));
-    let piece_words = |piece: &Vec<T>| piece.len() as u64 * words_per_elem;
-    let mine = scatter_binomial_async(ctx, pieces, words_per_elem).await;
-    let w = piece_words(&mine).max(1);
-    let all = allgather_ring_async(ctx, mine, w).await;
-    all.into_iter().flatten().collect()
+    let pieces: Option<Vec<S>> = value.map(|data| data.split_into(p));
+    let mine = scatter_binomial_async(ctx, pieces, words_per_unit).await;
+    let w = (mine.unit_len() as u64 * words_per_unit).max(1);
+    S::concat(allgather_ring_async(ctx, mine, w).await)
 }
 
 /// Sklansky-style inclusive scan: in round `j`, the ranks whose bit `j`

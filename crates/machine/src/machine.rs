@@ -528,6 +528,7 @@ impl Ctx {
                 EventKind::Exchange {
                     partner,
                     words: w,
+                    out_words: words,
                     sent_at: packet.send_time,
                 },
             );

@@ -43,8 +43,10 @@ pub enum EventKind {
     Exchange {
         /// Partner rank.
         partner: usize,
-        /// Words sent (the larger direction is charged).
+        /// Words charged: the larger of the two directions.
         words: u64,
+        /// Words this rank sent (its own outgoing direction).
+        out_words: u64,
         /// The partner's clock when it entered the exchange.
         sent_at: f64,
     },
@@ -211,17 +213,21 @@ impl Trace {
     /// to folding [`merge`](Self::merge) over the traces in the same
     /// order — a stable sort keeps equal-keyed events in concatenation
     /// order, and re-sorting an already sorted prefix plus a suffix
-    /// reduces to exactly that — but avoids re-sorting `p` times per run.
+    /// reduces to exactly that — but avoids re-sorting `p` times per run,
+    /// and skips the sort (and its scratch buffer) when the concatenation
+    /// is already in order.
     pub fn merge_many(traces: impl IntoIterator<Item = Trace>) -> Trace {
         let mut events = Vec::new();
         for t in traces {
             events.extend(t.events);
         }
-        events.sort_by(|a, b| {
-            a.time
-                .partial_cmp(&b.time)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        if !events.is_sorted_by(|a, b| a.time <= b.time) {
+            events.sort_by(|a, b| {
+                a.time
+                    .partial_cmp(&b.time)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+        }
         Trace {
             events,
             enabled: true,
