@@ -26,8 +26,8 @@
 //! * [`distflow`] — the distribution-state abstract interpreter behind
 //!   `COL007`/`COL011`, over the lattice of [`collopt_core::dist`].
 //! * [`schedule`] — the static communication-schedule verifier behind
-//!   `collopt check`: symbolic per-rank schedules from
-//!   `collopt_collectives::schedule` are abstractly executed to prove
+//!   `collopt check`: per-rank schedules, read off traced runs by
+//!   `collopt_collectives::schedule`, are abstractly executed to prove
 //!   deadlock-freedom (`COL008`), message-match completeness (`COL009`)
 //!   and round optimality against the cost model's closed forms and the
 //!   `⌈log₂ p⌉` influence bounds (`COL010`).

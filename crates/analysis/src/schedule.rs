@@ -1,11 +1,11 @@
 //! Static communication-schedule verification.
 //!
-//! Input: a symbolic per-rank [`Schedule`] extracted by
-//! `collopt_collectives::schedule` — no payloads, just who sends what to
-//! whom in which order. The verifier executes the schedule *abstractly*
-//! over the machine's channel semantics (directed per-pair FIFOs,
-//! non-blocking sends, blocking receives, full-machine clock barriers)
-//! and proves, without running a single simulated clock tick:
+//! Input: a per-rank [`Schedule`] that `collopt_collectives::schedule`
+//! reads off a traced run of the lowering — no payloads, just who sends
+//! what to whom in which order. The verifier executes the schedule
+//! *abstractly* over the machine's channel semantics (directed per-pair
+//! FIFOs, non-blocking sends, blocking receives, full-machine clock
+//! barriers) and proves, from the schedule alone:
 //!
 //! * **deadlock-freedom** — the abstract execution drains every rank to
 //!   completion; a stall is diagnosed as a wait-for cycle or a barrier

@@ -11,8 +11,9 @@
 //! Writes `results/BENCH_check.json` and prints a summary. Environment:
 //!
 //! * `CHECK_PMAX` — sweep upper bound for p (default 64).
-//! * `CHECK_STRESS_P` — the large-p stress point (default 1024; the
-//!   verifier is symbolic, so p is bounded by time, not threads).
+//! * `CHECK_STRESS_P` — the large-p stress point (default 1024;
+//!   schedules are traced on the single-threaded DES engine, so p is
+//!   bounded by time and memory, not threads).
 //! * `COLLOPT_CHECK_FLOOR` — when set (e.g. `500.0`), exit non-zero
 //!   unless the sweep sustains at least that many schedule
 //!   verifications per second; unset = report only. CI sets this on the
@@ -63,9 +64,9 @@ fn main() {
         "verifier verdicts wrong, refusing to time them: {failures:?}"
     );
 
-    // Large-p stress point: alltoall alone is Θ(p²) symbolic messages
-    // here, so this times the abstract executor on a schedule far past
-    // the thread engines' rank ceiling.
+    // Large-p stress point: alltoall alone is Θ(p²) messages here, so
+    // this times extraction and the abstract executor on schedules far
+    // past the thread engines' rank ceiling.
     let stress_start = Instant::now();
     let stress_reports = verify_registry(stress_p, 32);
     let stress_ok = stress_reports.iter().all(|r| r.ok());
@@ -76,12 +77,12 @@ fn main() {
     let per_sec = verifications as f64 / sweep_s;
     let msgs_per_sec = messages as f64 / sweep_s;
     println!(
-        "== registry sweep ==\n  {verifications} verifications ({messages} symbolic messages, \
+        "== registry sweep ==\n  {verifications} verifications ({messages} schedule messages, \
          {words} words) in {sweep_s:.3}s\n  {per_sec:.0} verifications/s, {msgs_per_sec:.0} \
          messages/s",
     );
     println!(
-        "== stress point ==\n  p={stress_p}: {} lowerings, {stress_messages} symbolic messages \
+        "== stress point ==\n  p={stress_p}: {} lowerings, {stress_messages} schedule messages \
          in {stress_s:.3}s",
         stress_reports.len()
     );

@@ -1,6 +1,8 @@
 //! End-to-end drills for the static communication-schedule verifier.
 //!
-//! Three layers are tied together here:
+//! Each shipped schedule is read off a traced DES run of the lowering
+//! itself; each planted one is written out by hand. Three layers are
+//! tied together here:
 //!
 //! 1. **Breadth** — every shipped collective lowering must verify clean
 //!    (no deadlocks, no orphan messages, round counts matching the cost
