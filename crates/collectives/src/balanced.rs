@@ -9,7 +9,8 @@
 //! structures guarantee this for any processor count:
 //!
 //! * [`reduce_balanced`] walks the paper's virtual **balanced tree**
-//!   ([`BalancedTree`]): all leaves at depth `⌈log₂ p⌉`, the right subtree
+//!   ([`BalancedTree`](collopt_machine::topology::BalancedTree)): all
+//!   leaves at depth `⌈log₂ p⌉`, the right subtree
 //!   of every binary node complete, and *unary* nodes (empty left subtree)
 //!   where a special one-argument variant of the operator applies —
 //!   `op_sr((), (t,u)) = (t, u⊕u)` in the paper. This is Figure 4.
@@ -18,7 +19,9 @@
 //!   and ranks without a partner (only possible when `p` is not a power of
 //!   two) apply a solo variant. This is Figure 5.
 
-use collopt_machine::topology::{butterfly_partner, butterfly_rounds, BalancedTree, RankAction};
+use collopt_machine::topology::{
+    balanced_rank_schedule, butterfly_partner, butterfly_rounds, RankAction,
+};
 use collopt_machine::{drive, Ctx};
 
 use crate::bcast::bcast_binomial_async;
@@ -74,9 +77,8 @@ pub async fn reduce_balanced_async<Q: Clone + Send + 'static>(
     words: u64,
     op: &BalancedOp<'_, Q>,
 ) -> Option<Q> {
-    let tree = BalancedTree::new(ctx.size());
     let mut acc = value;
-    for (_, action) in tree.rank_schedule(ctx.rank()) {
+    for (_, action) in balanced_rank_schedule(ctx.size(), ctx.rank()) {
         match action {
             RankAction::RecvCombine { from } => {
                 let got: Q = ctx.recv_async(from).await;

@@ -255,12 +255,12 @@ fn try_run_program(
     // future genuinely suspends and the event scheduler interleaves ranks.
     let run = if machine.engine() == ExecEngine::Des {
         // `try_run_des` requires the rank future to borrow nothing but its
-        // `Ctx`, so each rank owns a (shallow — stage closures are `Arc`s)
-        // clone of the program and the shared input handle.
-        let prog = prog.clone();
+        // `Ctx`, so each rank holds handles to one shared copy of the
+        // program and of the inputs.
+        let prog = Arc::new(prog.clone());
         let inputs = Arc::clone(&inputs);
         machine.try_run_des(move |ctx| {
-            let prog = prog.clone();
+            let prog = Arc::clone(&prog);
             let inputs = Arc::clone(&inputs);
             Box::pin(async move { rank_main(&prog, &inputs, config, ctx).await })
         })?

@@ -751,6 +751,25 @@ thread_local! {
     static ENGINES: RefCell<HashMap<usize, Engine>> = RefCell::new(HashMap::new());
 }
 
+/// The cached machine sizes to drop before caching an engine of size
+/// `new_p`, so that the sizes left plus `new_p` sum to at most `budget`.
+/// A size-`p` engine parks `p - 1` threads, so this bounds the threads
+/// one host thread keeps parked. Largest first: each drop frees the most.
+fn engines_to_evict(cached: &[usize], new_p: usize, budget: usize) -> Vec<usize> {
+    let mut by_size = cached.to_vec();
+    by_size.sort_unstable_by(|a, b| b.cmp(a));
+    let mut total = by_size.iter().sum::<usize>() + new_p;
+    let mut evict = Vec::new();
+    for p in by_size {
+        if total <= budget {
+            break;
+        }
+        total -= p;
+        evict.push(p);
+    }
+    evict
+}
+
 /// A virtual machine of `p` fully connected processors.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -960,6 +979,12 @@ impl Machine {
         let p = self.p;
         ENGINES.with(|cell| {
             let mut engines = cell.borrow_mut();
+            if !engines.contains_key(&p) {
+                let cached: Vec<usize> = engines.keys().copied().collect();
+                for old in engines_to_evict(&cached, p, ExecEngine::THREAD_MAX_P) {
+                    engines.remove(&old);
+                }
+            }
             let engine = engines.entry(p).or_insert_with(|| Engine {
                 pool: RankPool::new(p),
                 mesh: Mesh::new(p),
@@ -1123,6 +1148,28 @@ fn collect_outcomes<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn engine_cache_evicts_largest_sizes_until_the_new_one_fits() {
+        // Room to spare: nothing goes.
+        assert!(engines_to_evict(&[], 4096, 4096).is_empty());
+        assert!(engines_to_evict(&[64, 256], 512, 4096).is_empty());
+        assert!(engines_to_evict(&[2048, 1024], 1024, 4096).is_empty());
+        // Over budget: largest first, and only as many as needed.
+        assert_eq!(engines_to_evict(&[64, 2048, 1024], 1024, 4096), vec![2048]);
+        assert_eq!(
+            engines_to_evict(&[1024, 3000, 64], 4000, 4096),
+            vec![3000, 1024]
+        );
+        assert_eq!(engines_to_evict(&[8, 16], 4096, 4096), vec![16, 8]);
+        // Whatever the cache holds, what stays plus the new size fits.
+        let cached = [4000, 3, 700, 95, 2048, 1];
+        for new_p in [1, 100, 2000, 4096] {
+            let evicted = engines_to_evict(&cached, new_p, 4096);
+            let kept: usize = cached.iter().sum::<usize>() - evicted.iter().sum::<usize>();
+            assert!(kept + new_p <= 4096, "new_p={new_p} evicted={evicted:?}");
+        }
+    }
 
     #[test]
     fn engine_names_round_trip() {

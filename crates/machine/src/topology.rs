@@ -340,6 +340,42 @@ impl BalancedTree {
     }
 }
 
+/// [`BalancedTree::rank_schedule`] without building the tree: the actions
+/// of `rank` in the balanced tree over `n` leaves, bottom-up. Follows the
+/// construction's descent from the root to `rank`'s leaf, so it costs
+/// O(log n) per rank instead of the O(n) nodes of the whole tree.
+pub fn balanced_rank_schedule(n: usize, rank: usize) -> Vec<(u32, RankAction)> {
+    assert!(
+        rank < n,
+        "rank {rank} outside a balanced tree of {n} leaves"
+    );
+    let mut out = Vec::new();
+    let (mut first, mut len) = (0usize, n);
+    for level in (1..=ceil_log2(n)).rev() {
+        let half = 1usize << (level - 1);
+        if len > half {
+            // Binary node: the left subtree's representative is `first`,
+            // the right subtree's is `first + len - half`.
+            let right = first + len - half;
+            if rank == first {
+                out.push((level, RankAction::RecvCombine { from: right }));
+            } else if rank == right {
+                out.push((level, RankAction::SendTo { to: first }));
+            }
+            if rank >= right {
+                first = right;
+                len = half;
+            } else {
+                len -= half;
+            }
+        } else if rank == first {
+            out.push((level, RankAction::ApplyUnary));
+        }
+    }
+    out.reverse();
+    out
+}
+
 /// A per-rank action in the balanced-tree reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankAction {
@@ -600,6 +636,20 @@ mod tests {
                 })
                 .sum();
             assert_eq!(unary_ranks, unaries);
+        }
+    }
+
+    #[test]
+    fn direct_rank_schedule_matches_the_tree_walk() {
+        for n in (1..=256).chain([511, 512, 513, 1000, 1023]) {
+            let t = BalancedTree::new(n);
+            for rank in 0..n {
+                assert_eq!(
+                    balanced_rank_schedule(n, rank),
+                    t.rank_schedule(rank),
+                    "n={n} rank={rank}"
+                );
+            }
         }
     }
 

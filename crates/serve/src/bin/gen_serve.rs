@@ -10,9 +10,10 @@
 //!      ≥ 10× — the cache must beat cold saturation by an order of
 //!      magnitude;
 //!    * replaying a mixed request log through fresh services with 1
-//!      and 4 dispatch workers yields identical byte streams (batch
-//!      composition and `SWEEP_WORKERS` must not leak into results).
-//! 2. **TCP load.** A loopback server plus `SERVE_CLIENTS` closed-loop
+//!      and 4 worker threads yields identical byte streams (the worker
+//!      count and what runs concurrently must not leak into results).
+//! 2. **TCP load.** A loopback server (its worker pool sized by
+//!    `SWEEP_WORKERS` or the CPU count) plus `SERVE_CLIENTS` closed-loop
 //!    client threads issuing `SERVE_REQS` requests: `SERVE_SKEW`% drawn
 //!    from the `SERVE_HOT`-sized hot set, the rest cache-cold (distinct
 //!    machine shapes). Records sustained req/s, p50/p99 latency, and

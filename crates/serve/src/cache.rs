@@ -73,8 +73,8 @@ impl Cache {
 
     /// Look up `key`, computing the value with `f` on a miss.
     ///
-    /// The compute runs *outside* the lock so a batch of distinct misses
-    /// saturates the worker pool instead of serializing on the cache.
+    /// The compute runs *outside* the lock so concurrent distinct misses
+    /// saturate the worker pool instead of serializing on the cache.
     /// Two threads racing on the same key both compute; the loser's value
     /// is discarded (the function is pure, so the bytes are identical
     /// either way and callers cannot observe the race).

@@ -8,8 +8,8 @@
 //! predicted (optionally simulated) costs.
 //!
 //! Saturation-based extraction is an expensive, *pure*, deterministic
-//! function — exactly the shape that caching and batching turn into a
-//! high-throughput service. The three performance layers:
+//! function — exactly the shape that caching and a worker pool turn into
+//! a high-throughput service. The three performance layers:
 //!
 //! * [`cache`] — a bounded LRU keyed by the *canonicalized* pipeline
 //!   plus machine parameters and options; hits return the cold path's
@@ -19,9 +19,9 @@
 //!   path (saturate → lint → simulate → render through the shared
 //!   [`collopt_machine::Json`] writer).
 //! * [`server`] — the TCP front: per-connection readers feed a FIFO
-//!   queue; a dispatcher drains batches into the bench crate's
-//!   deterministic worker pool and answers in order, with graceful
-//!   drain-then-stop shutdown.
+//!   queue; long-lived worker threads take one request at a time, and
+//!   each connection's reorder buffer answers in request order, with
+//!   graceful drain-then-stop shutdown.
 //!
 //! `gen_serve` (this crate's bin) is the load generator that gates the
 //! whole stack: cache hits ≥10× faster than cold saturation and

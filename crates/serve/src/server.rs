@@ -3,52 +3,55 @@
 //! ## Architecture
 //!
 //! ```text
-//! accept loop ──► reader thread per connection ──► job queue (mpsc)
-//!                                                      │
-//!                                  dispatcher thread ◄─┘
-//!                        drain queue into a batch, then
-//!                        par_map_with(batch, SWEEP_WORKERS) over
-//!                        Service::handle_line, reply in batch order
+//! accept loop ──► reader thread per connection ──► job queue (VecDeque + Condvar)
+//!                 (tags each line with a per-           │ one job at a time
+//!                  connection sequence number)          ▼
+//!                                          ServerConfig::workers long-lived
+//!                                          worker threads: handle_line, then
+//!                                          hand the reply to its connection's
+//!                                          reorder buffer, which writes
+//!                                          replies in sequence order
 //! ```
 //!
-//! A single dispatcher owns the receive side of the queue: it blocks
-//! for the first job, opportunistically drains up to
-//! [`ServerConfig::batch_limit`] more, and runs the whole batch
-//! through the bench crate's deterministic worker pool
-//! ([`par_map_with`]). Because [`Service::handle_line`] is a pure
-//! function of the line, batch composition and worker count can only
-//! change *latency*, never bytes. Replies are written in batch order
-//! by the dispatcher alone, so each connection sees its responses in
-//! the order it sent requests (the queue is FIFO per sender).
+//! Each worker takes the oldest queued job, runs
+//! [`Service::handle_line`] on it and goes back for the next: a fast
+//! request never waits for a slow one on another connection. An idle
+//! worker sleeps on the queue's `Condvar`; every enqueued job wakes one.
+//! Because `handle_line` is a pure function of the line, the worker
+//! count and the interleaving can only change *latency*, never bytes.
+//!
+//! Requests on one connection may finish out of order, so the reader
+//! numbers them and the connection's writer holds early replies back
+//! until every earlier one has been written: each connection sees its
+//! responses in the order it sent requests.
 //!
 //! Each `handle_line` call runs under `catch_unwind`: a request that
-//! panics is answered `internal_error` with its id, and the dispatcher
-//! goes on serving every connection.
+//! panics is answered `internal_error` with its id, and the worker goes
+//! on serving every connection.
 //!
-//! Batches of size one — the common case under low concurrency — run
-//! inline on the long-lived dispatcher thread, where the machine
-//! crate's thread-local per-`p` engine cache persists across requests:
-//! repeated machine shapes reuse their rank pool and mesh instead of
-//! rebuilding them. Larger batches trade that for parallelism.
+//! Workers live as long as the server, so the machine crate's
+//! thread-local per-`p` engine cache persists across requests: repeated
+//! machine shapes reuse their rank pool and mesh instead of rebuilding
+//! them.
 //!
 //! ## Graceful shutdown
 //!
 //! A `shutdown` op answers `{"bye":true}`, then: the stop flag is set,
 //! every registered connection's read half is closed (readers see EOF
 //! and hang up), and a self-connection wakes the blocking accept loop.
-//! The mpsc channel delivers already-queued jobs before reporting
-//! disconnection, so every request enqueued before the shutdown is
-//! processed and answered — nothing in flight is dropped.
+//! Workers exit only once every reader and the accept loop have let go
+//! of the queue *and* it is empty, so every request enqueued before the
+//! shutdown is processed and answered — nothing in flight is dropped.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
-use collopt_bench::sweep_driver::{default_workers, par_map_with};
+use collopt_bench::sweep_driver::default_workers;
 use collopt_machine::Json;
 
 use crate::request::{error_response, parse_request, ErrorCode, RequestError};
@@ -57,26 +60,127 @@ use crate::service::{Reply, Service};
 /// Tunables for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads for batch dispatch; defaults to `SWEEP_WORKERS`
-    /// or the CPU count (see [`default_workers`]).
+    /// Worker threads serving requests (at least one); defaults to
+    /// `SWEEP_WORKERS` or the CPU count (see [`default_workers`]).
     pub workers: usize,
-    /// Most jobs drained into one batch.
-    pub batch_limit: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             workers: default_workers(),
-            batch_limit: 64,
         }
     }
 }
 
-/// One queued request: the line and where to write the response.
+/// One queued request: the line, its place in its connection's request
+/// order, and where the reply goes.
 struct Job {
     line: String,
-    out: Arc<Mutex<BufWriter<TcpStream>>>,
+    seq: u64,
+    conn: Arc<Mutex<ReplyWriter>>,
+}
+
+/// A connection's write half plus its reorder buffer: replies that
+/// finished before an earlier request on the same connection wait here.
+struct ReplyWriter {
+    out: BufWriter<TcpStream>,
+    /// Sequence number of the next reply to write.
+    next: u64,
+    early: BTreeMap<u64, String>,
+}
+
+impl ReplyWriter {
+    fn new(stream: TcpStream) -> ReplyWriter {
+        ReplyWriter {
+            out: BufWriter::new(stream),
+            next: 0,
+            early: BTreeMap::new(),
+        }
+    }
+
+    /// Accept reply `seq`, then write every reply that is now in order.
+    fn deliver(&mut self, seq: u64, text: String) {
+        self.early.insert(seq, text);
+        while let Some(text) = self.early.remove(&self.next) {
+            // A hung-up client is its own problem; keep serving others.
+            let _ = writeln!(self.out, "{text}");
+            self.next += 1;
+        }
+        let _ = self.out.flush();
+    }
+}
+
+/// The FIFO job queue shared by the readers (producers) and the workers.
+struct JobQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Live [`Producer`] handles; at zero no job can arrive any more.
+    producers: usize,
+}
+
+impl JobQueue {
+    fn new() -> Arc<JobQueue> {
+        Arc::new(JobQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                producers: 0,
+            }),
+            ready: Condvar::new(),
+        })
+    }
+
+    /// Block for the oldest job; `None` once the queue is empty and every
+    /// producer is gone.
+    fn next(&self) -> Option<Job> {
+        let mut s = self.state.lock().expect("job queue poisoned");
+        loop {
+            if let Some(job) = s.jobs.pop_front() {
+                return Some(job);
+            }
+            if s.producers == 0 {
+                return None;
+            }
+            s = self.ready.wait(s).expect("job queue poisoned");
+        }
+    }
+}
+
+/// A counted handle for enqueueing jobs; the last one dropped releases
+/// the idle workers.
+struct Producer(Arc<JobQueue>);
+
+impl Producer {
+    fn new(queue: &Arc<JobQueue>) -> Producer {
+        queue.state.lock().expect("job queue poisoned").producers += 1;
+        Producer(Arc::clone(queue))
+    }
+
+    fn push(&self, job: Job) {
+        self.0
+            .state
+            .lock()
+            .expect("job queue poisoned")
+            .jobs
+            .push_back(job);
+        self.0.ready.notify_one();
+    }
+}
+
+impl Drop for Producer {
+    fn drop(&mut self) {
+        // No lock here can be poisoned: nothing panics while holding it.
+        if let Ok(mut s) = self.0.state.lock() {
+            s.producers -= 1;
+            if s.producers == 0 {
+                self.0.ready.notify_all();
+            }
+        }
+    }
 }
 
 /// A bound, not-yet-running server.
@@ -112,42 +216,54 @@ impl Server {
         let addr = self.listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
+        let queue = JobQueue::new();
+        let producer = Producer::new(&queue);
 
-        let dispatcher = {
-            let service = Arc::clone(&self.service);
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let config = self.config.clone();
-            thread::spawn(move || dispatch_loop(job_rx, service, config, stop, conns, addr))
-        };
+        // A failed spawn returns the error; the producer drop on return
+        // releases the workers already started.
+        let workers = (0..self.config.workers.max(1))
+            .map(|_| {
+                let queue = Arc::clone(&queue);
+                let service = Arc::clone(&self.service);
+                let stop = Arc::clone(&stop);
+                let conns = Arc::clone(&conns);
+                thread::Builder::new()
+                    .spawn(move || work_loop(&queue, &service, &stop, &conns, addr))
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
 
         for stream in self.listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
             let Ok(stream) = stream else { continue };
-            if stop.load(Ordering::SeqCst) {
-                break; // the shutdown wake-up connection
-            }
-            let Ok(read_half) = stream.try_clone() else {
+            let (Ok(read_half), Ok(write_half)) = (stream.try_clone(), stream.try_clone()) else {
                 continue;
             };
-            conns.lock().unwrap().push(read_half);
-            let out = Arc::new(Mutex::new(BufWriter::new(stream.try_clone()?)));
-            let tx = job_tx.clone();
-            thread::spawn(move || read_loop(stream, out, tx));
+            {
+                // Checked under the lock a shutdown closes connections
+                // under, so no connection registers after that sweep.
+                let mut conns = conns.lock().expect("connection list poisoned");
+                if stop.load(Ordering::SeqCst) {
+                    break; // the shutdown wake-up connection, or a late one
+                }
+                conns.push(read_half);
+            }
+            let conn = Arc::new(Mutex::new(ReplyWriter::new(write_half)));
+            let producer = Producer::new(&queue);
+            thread::spawn(move || read_loop(stream, conn, producer));
         }
-        drop(job_tx);
-        let _ = dispatcher.join();
+        drop(producer);
+        for worker in workers {
+            let _ = worker.join();
+        }
         Ok(())
     }
 }
 
-/// Per-connection reader: one job per non-empty line, until EOF.
-fn read_loop(stream: TcpStream, out: Arc<Mutex<BufWriter<TcpStream>>>, tx: Sender<Job>) {
+/// Per-connection reader: one job per non-empty line, numbered in
+/// arrival order, until EOF.
+fn read_loop(stream: TcpStream, conn: Arc<Mutex<ReplyWriter>>, producer: Producer) {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
+    let mut seq = 0u64;
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -157,55 +273,42 @@ fn read_loop(stream: TcpStream, out: Arc<Mutex<BufWriter<TcpStream>>>, tx: Sende
                 if trimmed.is_empty() {
                     continue;
                 }
-                let job = Job {
+                producer.push(Job {
                     line: trimmed.to_string(),
-                    out: Arc::clone(&out),
-                };
-                if tx.send(job).is_err() {
-                    break;
-                }
+                    seq,
+                    conn: Arc::clone(&conn),
+                });
+                seq += 1;
             }
         }
     }
 }
 
-fn dispatch_loop(
-    rx: Receiver<Job>,
-    service: Arc<Service>,
-    config: ServerConfig,
-    stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+/// One worker: serve jobs until the queue is drained and closed.
+fn work_loop(
+    queue: &JobQueue,
+    service: &Service,
+    stop: &AtomicBool,
+    conns: &Mutex<Vec<TcpStream>>,
     addr: SocketAddr,
 ) {
-    // Runs until every Sender is gone *and* the queue is drained — mpsc
-    // delivers all buffered jobs before reporting disconnection, which
-    // is exactly the no-dropped-in-flight-requests guarantee.
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![first];
-        while batch.len() < config.batch_limit.max(1) {
-            match rx.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
+    while let Some(job) = queue.next() {
+        let reply = handle_caught(service, &job.line);
+        job.conn
+            .lock()
+            .expect("reply writer poisoned")
+            .deliver(job.seq, reply.text);
+        if reply.shutdown {
+            let conns = conns.lock().expect("connection list poisoned");
+            if !stop.swap(true, Ordering::SeqCst) {
+                // Close every read half so readers hang up and release
+                // their producers, then poke the accept loop awake.
+                for conn in conns.iter() {
+                    let _ = conn.shutdown(Shutdown::Read);
+                }
+                drop(conns);
+                let _ = TcpStream::connect(addr);
             }
-        }
-        let lines: Vec<String> = batch.iter().map(|j| j.line.clone()).collect();
-        let replies: Vec<Reply> =
-            par_map_with(lines, config.workers, |line| handle_caught(&service, &line));
-        let mut shutdown = false;
-        for (job, reply) in batch.iter().zip(&replies) {
-            shutdown |= reply.shutdown;
-            let mut out = job.out.lock().unwrap();
-            // A hung-up client is its own problem; keep serving others.
-            let _ = writeln!(out, "{}", reply.text);
-            let _ = out.flush();
-        }
-        if shutdown && !stop.swap(true, Ordering::SeqCst) {
-            // Close every read half so readers hang up and release their
-            // queue senders, then poke the accept loop awake.
-            for conn in conns.lock().unwrap().iter() {
-                let _ = conn.shutdown(Shutdown::Read);
-            }
-            let _ = TcpStream::connect(addr);
         }
     }
 }

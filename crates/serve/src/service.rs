@@ -3,9 +3,10 @@
 //!
 //! [`Service::handle_line`] is a *pure function of the request line*
 //! (stats aside): the same line always produces the same response
-//! bytes, regardless of batch composition, worker count, or cache
-//! state. That invariant is what makes both caching and batched
-//! dispatch safe, and the integration tests + `gen_serve` gate it.
+//! bytes, regardless of which worker runs it, how many workers there
+//! are, what runs beside it, or cache state. That invariant is what
+//! makes both caching and the concurrent worker pool safe, and the
+//! integration tests + `gen_serve` gate it.
 //!
 //! ## Cache key derivation
 //!

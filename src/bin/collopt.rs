@@ -46,10 +46,10 @@
 //!
 //! `serve` speaks JSON lines over TCP (one request object per line; see
 //! `collopt_serve::request`) with a canonicalizing LRU optimization
-//! cache and batched dispatch. `submit` builds one request from the
-//! usual flags (`--p/--ts/--tw/--m`, `--all-ranks`, `--no-lint`,
-//! `--simulate`, `--engine`), sends it, and prints the response line;
-//! `--line '<json>'` submits a raw request verbatim.
+//! cache and a pool of `--workers` request threads. `submit` builds one
+//! request from the usual flags (`--p/--ts/--tw/--m`, `--all-ranks`,
+//! `--no-lint`, `--simulate`, `--engine`), sends it, and prints the
+//! response line; `--line '<json>'` submits a raw request verbatim.
 //!
 //! Lint mode — static soundness and performance diagnostics:
 //!
@@ -161,12 +161,9 @@ fn serve_main(args: Vec<String>) -> ! {
             "--workers" => {
                 config.workers = parse_flag("--workers", grab("--workers"), "an integer")
             }
-            "--batch" => config.batch_limit = parse_flag("--batch", grab("--batch"), "an integer"),
             other => {
                 eprintln!("unknown serve option {other}");
-                eprintln!(
-                    "usage: collopt serve [--addr HOST:PORT] [--cache N] [--workers N] [--batch N]"
-                );
+                eprintln!("usage: collopt serve [--addr HOST:PORT] [--cache N] [--workers N]");
                 std::process::exit(2);
             }
         }

@@ -26,8 +26,8 @@
 //!   saturation-vs-brute-force optimality agreement), a greedy shrinker
 //!   and the pinned-regression corpus;
 //! * [`serve`] — optimization as a service: a JSON-lines-over-TCP
-//!   server with a canonicalizing LRU optimization cache and batched
-//!   dispatch (`collopt serve` / `collopt submit`).
+//!   server with a canonicalizing LRU optimization cache and a
+//!   persistent worker pool (`collopt serve` / `collopt submit`).
 //!
 //! See `examples/quickstart.rs` for a guided tour, `DESIGN.md` for the
 //! system inventory, and `EXPERIMENTS.md` for the paper-vs-measured record

@@ -1,8 +1,15 @@
 //! End-to-end tests of `collopt serve` over loopback TCP: concurrent
 //! clients, cold-vs-hot byte identity, malformed-request error codes,
-//! and graceful shutdown that drains in-flight requests.
+//! no head-of-line blocking across connections, in-order replies on one
+//! connection whatever the worker count, and graceful shutdown that
+//! drains in-flight requests.
+//!
+//! Servers built with `ServerConfig::default()` take their worker count
+//! from `SWEEP_WORKERS` (else the CPU count), so rerunning this file
+//! under `SWEEP_WORKERS=1` and `SWEEP_WORKERS=4` covers both a single
+//! worker and more workers than cores.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -14,10 +21,23 @@ use collopt::serve::{submit, Server, ServerConfig, Service};
 /// Spawn a server on an ephemeral port; returns its address and the
 /// run-thread handle (joined after a shutdown op).
 fn spawn_server() -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
+    spawn_server_with(ServerConfig::default())
+}
+
+fn spawn_server_with(config: ServerConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
     let service = Arc::new(Service::new(64));
-    let server = Server::bind("127.0.0.1:0", service, ServerConfig::default()).expect("bind");
+    let server = Server::bind("127.0.0.1:0", service, config).expect("bind");
     let addr = server.local_addr().expect("addr");
     (addr, thread::spawn(move || server.run()))
+}
+
+/// A cache-cold simulation at p = 4096 on the DES engine: ~150 ms in a
+/// release build on a 2-core x86-64 host, far longer in a debug build.
+fn slow_line(id: u64) -> String {
+    format!(
+        "{{\"id\":{id},\"pipeline\":\"scan(add) ; reduce(add)\",\"p\":4096,\"m\":8,\
+         \"options\":{{\"simulate\":true,\"lint\":false}}}}"
+    )
 }
 
 /// A line-oriented client with a read timeout so a server bug fails the
@@ -233,7 +253,7 @@ fn a_panicking_request_gets_internal_error_and_the_server_keeps_serving() {
     let pong = submit(addr, r#"{"id":2,"op":"ping"}"#).expect("ping on a new connection");
     assert_eq!(pong, r#"{"id":2,"ok":true,"result":{"pong":true}}"#);
 
-    // A later simulation on the same dispatcher is unaffected.
+    // A later simulation on the same server is unaffected.
     let good =
         r#"{"id":3,"pipeline":"scan(add) ; reduce(add)","p":2,"m":8,"options":{"simulate":true}}"#;
     assert_eq!(
@@ -241,4 +261,96 @@ fn a_panicking_request_gets_internal_error_and_the_server_keeps_serving() {
         Service::new(4).handle_line(good).text
     );
     shutdown(addr, handle);
+}
+
+#[test]
+fn a_slow_request_does_not_block_other_connections() {
+    let (addr, handle) = spawn_server_with(ServerConfig { workers: 2 });
+    let mut slow = Client::connect(addr);
+    slow.send(&slow_line(1));
+    // The other worker answers a second connection while the
+    // simulation runs.
+    let mut fast = Client::connect(addr);
+    let pong = fast.round_trip(r#"{"id":2,"op":"ping"}"#);
+    assert_eq!(pong, r#"{"id":2,"ok":true,"result":{"pong":true}}"#);
+    slow.reader
+        .get_ref()
+        .set_nonblocking(true)
+        .expect("nonblocking");
+    let mut byte = [0u8; 1];
+    let pending = slow.reader.get_mut().read(&mut byte);
+    assert!(
+        matches!(&pending, Err(e) if e.kind() == ErrorKind::WouldBlock),
+        "the slow reply should still be pending after the ping: {pending:?}"
+    );
+    slow.reader
+        .get_ref()
+        .set_nonblocking(false)
+        .expect("blocking");
+    assert!(slow.recv().starts_with("{\"id\":1,\"ok\":true,"));
+    shutdown(addr, handle);
+}
+
+#[test]
+fn pipelined_replies_on_one_connection_keep_request_order() {
+    let (addr, handle) = spawn_server_with(ServerConfig { workers: 4 });
+    let mut client = Client::connect(addr);
+    // A slow request first: the fast ones behind it finish earlier on
+    // other workers, and their replies must wait for it.
+    client.send(&slow_line(0));
+    for id in 1..8u64 {
+        client.send(&format!(
+            "{{\"id\":{id},\"pipeline\":\"scan(add) ; reduce(add)\",\"p\":{}}}",
+            4 + id
+        ));
+    }
+    client.send(r#"{"id":8,"op":"ping"}"#);
+    for id in 0..=8u64 {
+        let reply = client.recv();
+        assert!(
+            reply.starts_with(&format!("{{\"id\":{id},\"ok\":true,")),
+            "reply {id} out of order: {reply}"
+        );
+    }
+    shutdown(addr, handle);
+}
+
+#[test]
+fn reply_streams_do_not_depend_on_the_worker_count() {
+    let mut log = vec![slow_line(0)];
+    for id in 1..24u64 {
+        log.push(match id % 6 {
+            0 => format!("{{\"id\":{id},\"op\":\"ping\"}}"),
+            1 => format!("{{\"id\":{id},\"pipeline\":\"scan(wat)\"}}"),
+            2 => format!(
+                "{{\"id\":{id},\"pipeline\":\"bcast ; scan(add) ; reduce(max)\",\"p\":{},\
+                 \"options\":{{\"simulate\":true}}}}",
+                3 + id
+            ),
+            3 => format!("{{\"id\":{id},\"pipeline\":\"scan(mul) ; reduce(add)\",\"p\":64}}"),
+            4 => format!(
+                "{{\"id\":{id},\"pipeline\":\"map f ; scan(mul) ; reduce(add) ; map g ; bcast\",\
+                 \"p\":{},\"m\":{}}}",
+                8 * id,
+                id
+            ),
+            _ => "not json".to_string(),
+        });
+    }
+    let replies = |workers: usize| -> Vec<String> {
+        let (addr, handle) = spawn_server_with(ServerConfig { workers });
+        let mut client = Client::connect(addr);
+        for line in &log {
+            client.send(line);
+        }
+        let replies = log.iter().map(|_| client.recv()).collect();
+        shutdown(addr, handle);
+        replies
+    };
+    let one = replies(1);
+    let four = replies(4);
+    assert_eq!(one.len(), log.len());
+    for (i, (a, b)) in one.iter().zip(&four).enumerate() {
+        assert_eq!(a, b, "reply {i} differs between 1 and 4 workers");
+    }
 }
